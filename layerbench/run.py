@@ -46,13 +46,12 @@ End-to-end metrics (``--trace 0``)
 ``setup_s``        host seconds to build the machine or cluster, install
                    observers and generate the input, median over reps.
 
-``records_per_s`` is rescaled to a reference host speed: a fixed
-memory-bound numpy probe (:func:`probe_seconds`) is timed before and
-after every rep, and the run's rate is multiplied by the median probe
-time over ``PROBE_REF_S``.  On a shared VM raw medians drift by 10-40%
-between runs minutes apart; the probe drifts with them.  ``setup_s``
-(tens of ms) tracked the probe worse and stays raw.  The raw walls and
-each rep's host speed are printed beside the metrics.
+Both are rescaled to a reference host speed: a fixed memory-bound numpy
+probe (:func:`probe_seconds`) is timed before and after every rep, and
+the run's host times are multiplied by ``PROBE_REF_S`` over the median
+probe time.  On a shared VM raw medians drift by 10-40% between runs
+minutes apart; the probe drifts with them.  The raw walls, raw set-up
+times and each rep's host speed are printed beside the metrics.
 ``peak_rss_mb``    host memory high-water mark of the process.
 ``sim_s``          simulated seconds (``service``: simulated makespan).
 
@@ -140,7 +139,7 @@ from spans import LAYERS, SpanRecorder  # noqa: E402
 from workloads import ANCHOR_SEED, WORKLOADS, rate_cache  # noqa: E402
 
 #: Seconds the host-speed probe takes on the reference host (a 2-vCPU
-#: Xeon VM); ``records_per_s`` is reported rescaled to that host.
+#: Xeon VM); host times are reported rescaled to that host.
 PROBE_REF_S = 0.050
 
 
@@ -340,7 +339,7 @@ def end_to_end(bench: Bench, seconds: float):
         return None, []
     speed = host_speed(reps)
     rates = [r.records / (r.run_s * speed) for r in reps]
-    setups = [r.setup_s for r in reps]
+    setups = [r.setup_s * speed for r in reps]
     rows = [
         ("records_per_s", "1/s", rates),
         ("setup_s", "s", setups),
@@ -349,6 +348,7 @@ def end_to_end(bench: Bench, seconds: float):
         ("sim_s", "s", [bench.ref["sim_s"]]),
     ]
     return rows, [("raw_run_s", "s", [r.run_s for r in reps]),
+                  ("raw_setup_s", "s", [r.setup_s for r in reps]),
                   ("host_speed", "ratio", [r.speed for r in reps])]
 
 
