@@ -25,11 +25,14 @@ Workloads (single process, single thread, input generated from --seed)
     observer hooks fire on every engine event; an observer-bus change
     should speed this workload and leave ``mergepass`` unmoved.
 ``cluster-recovery``
-    4-shard ``ShardedWiscSort(checkpoint=True)`` over 1M records; shard1
-    crashes at simulated t=8 ms (about 60% in) and
+    4-shard ``ShardedWiscSort(checkpoint=True)`` over 100k records;
+    shard1 crashes at simulated t=0.82 ms (about 60% in) and
     ``run_cluster_with_faults`` recovers it.  *Why:* data movement --
     shuffle, network model, manifests and ``recover()``; its shard sorts
-    are OnePass, so it bypasses MergeFrontier and fluid batching.
+    are OnePass, so it bypasses MergeFrontier and fluid batching.  At
+    1M records its run medians spread 20-40% between runs on a shared
+    VM: each rep page-faulted in hundreds of MB, a cost that varies
+    with the host's load.  At 100k its arrays are reused from the heap.
 ``service``
     Open-loop Poisson arrivals of 2,000-record jobs at 80k jobs per
     simulated second over 0.01 s (~800 jobs) on 2 shards, 48 MB DRAM,

@@ -176,12 +176,16 @@ class ClusterRecovery:
     name = "cluster-recovery"
     why = ("data movement: shuffle, network, manifests and recover(); "
            "OnePass shards bypass MergeFrontier, so storage and records lead")
-    records = 1_000_000
+    #: 100k records (10 MB): the arrays stay under glibc's mmap
+    #: threshold, so reps reuse heap pages instead of faulting in fresh
+    #: ones.  At 250k-1M records every rep page-faults in hundreds of MB,
+    #: and the host's varying cost of that spread run medians by 20-40%.
+    records = 100_000
     shards = 4
-    #: Simulated crash time of shard1, ~60% into the ~13 ms fault-free
+    #: Simulated crash time of shard1, ~60% into the ~1.4 ms fault-free
     #: run: every seed has committed its scatter manifests by then, so
     #: recovery salvages the same bytes and sim_s barely varies by seed.
-    crash_at = 0.008
+    crash_at = 0.00082
 
     def setup(self, seed: int):
         st = SimpleNamespace(seed=seed, cluster=Cluster(shards=self.shards))
