@@ -82,11 +82,7 @@ from repro.core.controller import WritePoolArbiter
 from repro.core.recovery import CheckpointLog, pack_entries, unpack_entries
 from repro.device.profile import Pattern
 from repro.errors import ConfigError, RecoveryError
-from repro.records.format import (
-    RecordFormat,
-    key_sort_indices,
-    leq_mask,
-)
+from repro.records.format import RecordFormat, key_sort_indices, key_strings
 from repro.records.validate import validate_sorted_records
 from repro.registry import create_system
 from repro.sim.engine import Join, ParallelOps, Sleep, Spawn
@@ -347,12 +343,9 @@ class ShardedWiscSort(SortSystem):
         always share a shard -- a precondition for stable-tie byte
         identity with the single-device sort.
         """
-        pid = np.zeros(keys.shape[0], dtype=np.int64)
-        if keys.shape[0] == 0:
-            return pid
-        for j in range(splitters.shape[0]):
-            pid += ~leq_mask(keys, splitters[j])
-        return pid
+        return np.searchsorted(
+            key_strings(splitters), key_strings(keys), side="left"
+        ).astype(np.int64, copy=False)
 
     def _shuffle_source(
         self,

@@ -275,19 +275,16 @@ class _FrontierIndex:
     One row per cursor: ``S`` is a ``(k, W)`` matrix of fixed-width
     ``S<key_size>`` byte strings (the window keys), ``E`` mirrors the
     raw window entries ``(k, W, entry_size)``, and k-vectors ``L`` /
-    ``F`` track each row's last and current-head key.  numpy's bytes
-    comparison (trailing-NUL-stripped lexicographic) is order- and
-    equality-isomorphic to fixed-width unsigned lexicographic
-    comparison: at the first differing byte position either both
-    stripped strings still extend past it (same byte decides both
-    compares) or exactly the NUL-holding side ended early (prefix <
-    extension, same verdict).  A frontier step is therefore a handful of
-    whole-array bytes compares -- threshold = min over ``L`` of the
-    still-readable rows (cached between steps; it only changes on
-    refill or drain), ``F <= threshold`` picks the contributing rows,
-    ``S[rows] <= threshold`` gives the emit counts, and one
-    segment-gather pulls every emitted entry (plus its sort key) out of
-    the mirrors without a per-cursor Python loop.
+    ``F`` track each row's last and current-head key.  Fixed-width
+    bytes compares order keys exactly as unsigned lexicographic
+    comparison (the argument is in
+    :func:`repro.records.format.key_strings`).  A frontier step is
+    therefore a handful of whole-array bytes compares -- threshold =
+    min over ``L`` of the still-readable rows (cached between steps; it
+    only changes on refill or drain), ``F <= threshold`` picks the
+    contributing rows, ``S[rows] <= threshold`` gives the emit counts,
+    and one segment-gather pulls every emitted entry (plus its sort key)
+    out of the mirrors without a per-cursor Python loop.
 
     Bit-identity with :func:`_frontier_step` (asserted by the
     equivalence suite): per-row emit counts equal ``_count_leq_words``
@@ -297,9 +294,7 @@ class _FrontierIndex:
     current one); pieces are gathered in ascending row order, which is
     the scalar path's ``live`` order (live-list filtering preserves
     construction order); and the final stable argsort over the gathered
-    keys is the same permutation as the stable ``np.lexsort`` inside
-    :func:`key_sort_indices` (same ordering and tie classes by the
-    isomorphism, and both sorts are stable).
+    keys is the same stable argsort :func:`key_sort_indices` runs.
 
     The index owns its cursors' windows outright -- they skip their
     scalar search caches on install (see ``RunCursor._index_owned``).

@@ -26,7 +26,7 @@ from repro.core.kway import RunCursor
 from repro.core.wiscsort import WiscSort
 from repro.device.profile import Pattern
 from repro.errors import SimulationError
-from repro.records.format import keys_ascending
+from repro.records.format import key_strings, keys_ascending
 from repro.registry import register_system
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,16 +41,8 @@ def find_natural_runs(keys: np.ndarray) -> List[Tuple[int, int]]:
     n = keys.shape[0]
     if n == 0:
         return []
-    from repro.records.format import key_columns
-
-    cols = key_columns(keys)
-    descents = np.zeros(n - 1, dtype=bool)
-    undecided = np.ones(n - 1, dtype=bool)
-    for col in cols:
-        left, right = col[:-1], col[1:]
-        descents |= undecided & (left > right)
-        undecided &= left == right
-    boundaries = np.flatnonzero(descents) + 1
+    strings = key_strings(keys)
+    boundaries = np.flatnonzero(strings[:-1] > strings[1:]) + 1
     edges = [0, *boundaries.tolist(), n]
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 

@@ -17,7 +17,7 @@ import numpy as np
 from repro.device.profile import Pattern
 from repro.errors import ConfigError
 from repro.query.sorted_index import SortedIndex
-from repro.records.format import key_columns
+from repro.records.format import key_strings
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine import Machine
@@ -34,9 +34,9 @@ class JoinResult:
     extras: dict = field(default_factory=dict)
 
 
-def _keys_as_tuples(keys: np.ndarray) -> List[Tuple[int, ...]]:
-    cols = key_columns(keys)
-    return list(zip(*[c.tolist() for c in cols])) if cols else []
+def _keys_as_bytes(keys: np.ndarray) -> List[bytes]:
+    # Python compares the (NUL-stripped) items in key order; see key_strings.
+    return key_strings(keys).tolist()
 
 
 def _match_sorted(left_keys, right_keys) -> Tuple[List[int], List[int]]:
@@ -87,8 +87,8 @@ def indexmap_join(
     right_map = right._require_built()
 
     t0 = machine.now
-    left_keys = _keys_as_tuples(left_map.keys)
-    right_keys = _keys_as_tuples(right_map.keys)
+    left_keys = _keys_as_bytes(left_map.keys)
+    right_keys = _keys_as_bytes(right_map.keys)
     left_idx, right_idx = _match_sorted(left_keys, right_keys)
     holder = {"left": [], "right": []}
 

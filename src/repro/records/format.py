@@ -1,10 +1,10 @@
 """Fixed-size record geometry and byte-exact key ordering.
 
 Keys are arbitrary binary strings compared lexicographically as unsigned
-bytes (gensort semantics).  To sort them exactly and fast we convert the
-key bytes to big-endian uint64 columns and use :func:`numpy.lexsort`,
-which is stable and handles embedded zero bytes correctly (numpy's ``S``
-dtype would not).
+bytes (gensort semantics).  Matrix-wide compares and sorts run on a
+fixed-width ``S<k>`` view of the key rows (:func:`key_strings`); the
+scalar merge cursor keeps big-endian uint64 words (:func:`key_columns`,
+:func:`key_words`) for its two-level binary search.
 """
 
 from __future__ import annotations
@@ -99,11 +99,38 @@ def key_words(key) -> tuple:
     )
 
 
+def key_strings(keys: np.ndarray) -> np.ndarray:
+    """Rows of an ``(n, k)`` uint8 key matrix as a length-n ``S<k>`` array.
+
+    numpy compares ``S`` items as byte strings with trailing NULs
+    stripped.  On items of equal width that order is isomorphic to
+    unsigned lexicographic order of the raw bytes: at the first byte
+    where two items differ, either both stripped strings extend past it
+    (the same byte decides both compares) or exactly the side holding a
+    NUL there ended early (a prefix sorts before its extension, and NUL
+    is the smallest byte -- the same verdict).  Equality agrees too,
+    since equal-width items that strip to the same string hold the same
+    bytes.  So ``<``, ``==``, ``np.sort``, stable ``np.argsort`` and
+    ``np.searchsorted`` on the result order keys exactly as gensort
+    does.
+
+    A C-contiguous input is viewed, not copied; any other layout (a key
+    slice of a record matrix) is copied once.  Zero-width keys all
+    compare equal, so they map to ``n`` empty ``S1`` items (numpy has no
+    sized ``S0``).
+    """
+    if keys.ndim != 2:
+        raise RecordFormatError(f"keys must be 2-D, got shape {keys.shape}")
+    n, k = keys.shape
+    if k == 0:
+        return np.zeros(n, dtype="S1")
+    rows = np.ascontiguousarray(keys, dtype=np.uint8)
+    return rows.view("S%d" % k).reshape(n)
+
+
 def key_sort_indices(keys: np.ndarray) -> np.ndarray:
     """Stable argsort of binary keys (rows of an ``(n, k)`` uint8 matrix)."""
-    cols = key_columns(keys)
-    # lexsort treats the LAST key as primary, so feed columns reversed.
-    return np.lexsort(tuple(reversed(cols)))
+    return np.argsort(key_strings(keys), kind="stable")
 
 
 def record_sort_indices(records: np.ndarray, key_size: int) -> np.ndarray:
@@ -117,20 +144,8 @@ def record_sort_indices(records: np.ndarray, key_size: int) -> np.ndarray:
 
 def keys_ascending(keys: np.ndarray) -> bool:
     """True iff consecutive rows are in non-decreasing key order."""
-    if keys.shape[0] <= 1:
-        return True
-    cols = key_columns(keys)
-    n = keys.shape[0]
-    # undecided[i] True while rows i and i+1 compare equal so far.
-    undecided = np.ones(n - 1, dtype=bool)
-    for col in cols:
-        left, right = col[:-1], col[1:]
-        if np.any(undecided & (left > right)):
-            return False
-        undecided &= left == right
-        if not undecided.any():
-            return True
-    return True
+    strings = key_strings(keys)
+    return bool(np.all(strings[:-1] <= strings[1:]))
 
 
 def leq_mask(keys: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -138,20 +153,11 @@ def leq_mask(keys: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
     ``bound`` is a single key as a 1-D uint8 array of the same width.
     """
-    if keys.ndim != 2:
-        raise RecordFormatError("keys must be 2-D")
+    strings = key_strings(keys)
     bound = np.asarray(bound, dtype=np.uint8).reshape(1, -1)
     if bound.shape[1] != keys.shape[1]:
         raise RecordFormatError("bound width must match key width")
-    cols = key_columns(keys)
-    bcols = [c[0] for c in key_columns(bound)]
-    n = keys.shape[0]
-    less = np.zeros(n, dtype=bool)
-    undecided = np.ones(n, dtype=bool)
-    for col, b in zip(cols, bcols):
-        less |= undecided & (col < b)
-        undecided &= col == b
-    return less | undecided
+    return strings <= key_strings(bound)[0]
 
 
 def min_key(candidates: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ properties byte-exactly:
 
 * sortedness: consecutive keys compare non-decreasing;
 * permutation: the multisets of whole records in input and output match
-  (via a canonical sort of each side's full record bytes).
+  (each side's records sorted as fixed-width byte strings, then compared).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.records.format import RecordFormat, key_columns, keys_ascending
+from repro.records.format import RecordFormat, key_strings, keys_ascending
 from repro.records.klv import KLVFormat, decode_klv
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,12 +31,6 @@ def _as_record_matrix(data: np.ndarray, record_size: int) -> np.ndarray:
     return data.reshape(-1, record_size)
 
 
-def _canonical_order(records: np.ndarray) -> np.ndarray:
-    """Indices that sort records by their entire byte content."""
-    cols = key_columns(records)
-    return np.lexsort(tuple(reversed(cols)))
-
-
 def validate_sorted_records(
     input_records: np.ndarray, output_records: np.ndarray, key_size: int
 ) -> None:
@@ -48,9 +42,10 @@ def validate_sorted_records(
         )
     if not keys_ascending(output_records[:, :key_size]):
         raise ValidationError("output keys are not in ascending order")
-    left = input_records[_canonical_order(input_records)]
-    right = output_records[_canonical_order(output_records)]
-    if not np.array_equal(left, right):
+    left = np.sort(key_strings(input_records))
+    right = np.sort(key_strings(output_records))
+    # Equal-width items are equal iff their bytes are: compare raw bytes.
+    if not np.array_equal(left.view(np.uint8), right.view(np.uint8)):
         raise ValidationError("output is not a permutation of the input records")
 
 

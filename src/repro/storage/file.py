@@ -39,19 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: reentrant and stateless, so one instance serves every unaudited op.
 _NO_AUDIT = nullcontext()
 
-_ARANGE_MEMO: dict = {}
-
-
-def _arange(n: int) -> np.ndarray:
-    """Shared ``np.arange(n)`` for the fixed access sizes gathers use."""
-    a = _ARANGE_MEMO.get(n)
-    if a is None:
-        a = np.arange(n, dtype=np.int64)
-        a.setflags(write=False)
-        _ARANGE_MEMO[n] = a
-    return a
-
-
 class SimFile:
     """A growable byte file stored on a simulated device."""
 
@@ -183,12 +170,14 @@ class SimFile:
         self._check_extent(offset, last - offset)
         det = self._fs.race
         if det is not None:
-            det.note_batch(self, "r", offset + _arange(count) * stride, access_size)
+            det.note_batch(
+                self, "r", offset + np.arange(count, dtype=np.int64) * stride, access_size
+            )
 
         def build() -> FluidOp:
             with self._audit("read", count * access_size):
-                starts = offset + _arange(count) * stride
-                payload = self._data[starts[:, None] + _arange(access_size)]
+                rows = self._rows(access_size)
+                payload = rows[offset : last - access_size + 1 : stride].copy()
                 op = self._machine_io(
                     "read",
                     Pattern.STRIDED,
@@ -235,7 +224,7 @@ class SimFile:
 
         def build() -> FluidOp:
             with self._audit("read", int(starts.size) * access_size):
-                payload = self._data[starts[:, None] + _arange(access_size)]
+                payload = self._rows(access_size)[starts]
                 op = self._machine_io(
                     "read",
                     Pattern.RAND,
@@ -320,6 +309,22 @@ class SimFile:
             accesses=accesses,
             stride=stride,
             threads=threads,
+        )
+
+    def _rows(self, access_size: int) -> np.ndarray:
+        """``(capacity - access_size + 1, access_size)`` view whose row
+        ``i`` is the ``access_size`` bytes at offset ``i``.
+
+        Indexing it with a start vector (or slicing it and copying) moves
+        one contiguous row per access -- a fresh C-contiguous payload
+        that never aliases the file.  This is the view
+        ``sliding_window_view`` returns, built directly: its argument
+        checks cost ~20 us a call, more than a merge-phase gather of a
+        few dozen records.
+        """
+        data = self._data
+        return np.ndarray(
+            (data.size - access_size + 1, access_size), np.uint8, data, 0, (1, 1)
         )
 
     def _check_extent(self, offset: int, nbytes: int) -> None:
